@@ -381,15 +381,45 @@ NvAlloc::attachThread()
                               slot);
     // A recycled slot may hold entries of a previous thread whose
     // sequence numbers would shadow ours at replay; start clean.
-    uint64_t ring_off = sb_->wal_off + uint64_t(slot) * kWalRingBytes;
-    std::memset(dev_.at(ring_off), 0, kWalRingBytes);
-    dev_.persistFence(dev_.at(ring_off), kWalRingBytes,
-                      TimeKind::FlushWal);
+    recycleWalRing(slot);
     ctx->wal.attach(&dev_, sb_->wal_off + uint64_t(slot) * kWalRingBytes,
                     cfg_.interleaved_wal, cfg_.bit_stripes,
                     cfg_.flush_enabled);
     ctxs_.push_back(ctx);
     return ctx;
+}
+
+/**
+ * Empty WAL ring `slot` for a new owner. The previous owner's newest
+ * entry is cleared one epoch after the rest: until then it stays the
+ * ring's newest, so a crash mid-clear leaves replay the entry it would
+ * have resolved in the untouched ring. A one-epoch wipe may keep a
+ * sealed transaction's op entries yet drop its seal, and replay would
+ * then undo that committed run. The second epoch needs no fence of its
+ * own: the new owner's first append fences it. A crash that keeps that
+ * append but drops the clear must cut before the fence returns, while
+ * the new op has changed nothing, so replay skipping it is correct.
+ */
+void
+NvAlloc::recycleWalRing(unsigned slot)
+{
+    uint64_t ring_off = sb_->wal_off + uint64_t(slot) * kWalRingBytes;
+    auto *ring = static_cast<char *>(dev_.at(ring_off));
+    const WalEntry *newest = Wal::newestEntry(&dev_, ring_off);
+    uint64_t keep = kWalRingBytes; // the newest entry's line, if any
+    if (newest)
+        keep = uint64_t(reinterpret_cast<const char *>(newest) - ring);
+    for (uint64_t line = 0; line < kWalRingBytes; line += kCacheLine) {
+        if (line == keep)
+            continue;
+        std::memset(ring + line, 0, kCacheLine);
+        dev_.persist(ring + line, kCacheLine, TimeKind::FlushWal);
+    }
+    dev_.fence();
+    if (newest) {
+        std::memset(ring + keep, 0, kCacheLine);
+        dev_.persist(ring + keep, kCacheLine, TimeKind::FlushWal);
+    }
 }
 
 void

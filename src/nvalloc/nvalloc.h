@@ -630,6 +630,7 @@ class NvAlloc
     void replayWals();
     void conservativeGc();
     void clearWalRings();
+    void recycleWalRing(unsigned slot);
     void setArenaStates(ArenaState state);
     VSlab *slabOf(uint64_t off) const;
     void drainTcache(ThreadCtx *ctx);

@@ -98,10 +98,7 @@ PmDevice::unmapRegion(uint64_t offset, size_t bytes)
 
     // Release physical pages; contents must read back as zero if the
     // range is recycled, matching a fresh mmap of a punched hole.
-    ::madvise(base_ + offset, bytes, MADV_DONTNEED);
-    if (shadow_)
-        ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
-    dropFaultState(offset, bytes);
+    releasePages(offset, bytes);
 
     std::lock_guard<std::mutex> g(region_mutex_);
     mapped_bytes_ -= bytes;
@@ -222,12 +219,28 @@ PmDevice::addCommitted(size_t bytes)
 void
 PmDevice::decommit(uint64_t offset, size_t bytes)
 {
-    ::madvise(base_ + offset, bytes, MADV_DONTNEED);
-    if (shadow_)
-        ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
-    dropFaultState(offset, bytes);
+    releasePages(offset, bytes);
     std::lock_guard<std::mutex> g(region_mutex_);
     committed_bytes_ -= bytes;
+}
+
+void
+PmDevice::releasePages(uint64_t offset, size_t bytes)
+{
+    ::madvise(base_ + offset, bytes, MADV_DONTNEED);
+    if (shadow_) {
+        // A punched hole is durable at once — but past a scheduled
+        // crash point the durable image is frozen: the power is
+        // already gone, so nothing the still-running threads do may
+        // reach it. Checked under the stage lock so a racing freeze
+        // orders the punch either wholly before the cut or after it.
+        std::unique_lock<std::mutex> g(stage_mutex_, std::defer_lock);
+        if (fi_)
+            g.lock();
+        if (!fi_ || !fi_->triggered())
+            ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
+    }
+    dropFaultState(offset, bytes);
 }
 
 void

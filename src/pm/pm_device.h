@@ -270,6 +270,7 @@ class PmDevice
     void stageLine(uint64_t line);
     void commitLine(uint64_t line);
     void freezeAtCrashPoint();
+    void releasePages(uint64_t offset, size_t bytes);
     void dropFaultState(uint64_t offset, size_t bytes);
 };
 

@@ -16,6 +16,9 @@
  * distribution over the item count (zeta precomputed, theta = 0.99 by
  * default) whose rank is *scrambled* by an FNV hash so the hot keys
  * are spread over the keyspace instead of clustered at the low ids.
+ * Workload D's read-latest base is the claimed-insert counter, not a
+ * count of acknowledged inserts, so a D read may pick an id whose
+ * insert has been claimed but not yet committed; that read misses.
  * Everything is seeded: the same YcsbSpec replays the identical op
  * stream, which is what makes the crash sweep's oracle and the bench
  * baselines possible. Throughput rides the harness's virtual-time
@@ -94,8 +97,11 @@ struct YcsbResult
     uint64_t inserts = 0;
     uint64_t scans = 0;
     uint64_t rmws = 0;
-    uint64_t not_found = 0; //!< reads racing inserts (workload D)
-    uint64_t errors = 0;    //!< any non-Ok/NotFound op outcome
+    /** Workload D read-latest picks of an id another client has
+     *  claimed but not yet committed. Zero in every other mix over a
+     *  store that ycsbLoad filled: their picks are all loaded ids. */
+    uint64_t not_found = 0;
+    uint64_t errors = 0; //!< any non-Ok/NotFound op outcome
 };
 
 /** The YCSB key for a record id: "user" + FNV-hashed decimal, the
@@ -118,8 +124,9 @@ YcsbResult ycsbLoad(KvStore &store, const YcsbSpec &spec,
  * Run phase: spec.op_count ops in spec.workload's mix. `inserted`
  * carries the next insert id across phases (ycsbLoad leaves it at
  * record_count); workload D reads cluster near its current value.
- * Returns per-op-type counts; `errors` should be zero on a healthy
- * heap.
+ * Returns per-op-type counts: every op the run executes lands in
+ * exactly one of reads/updates/inserts/scans/rmws/not_found/errors.
+ * `errors` should be zero on a healthy heap.
  */
 YcsbResult ycsbRun(KvStore &store, const YcsbSpec &spec,
                    VtimeEpoch &epoch,

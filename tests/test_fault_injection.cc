@@ -183,6 +183,38 @@ TEST_F(FaultDeviceFixture, ArmedCrashFreezesWithoutThrowing)
     EXPECT_FALSE(dev_->crashTriggered()) << "crash consumed the arming";
 }
 
+TEST_F(FaultDeviceFixture, HolePunchAfterCrashPointLeavesImageAlone)
+{
+    dev_->enableFaultInjection(FaultPolicy{});
+    uint64_t off2 = dev_->mapRegion(4096);
+    auto *v = static_cast<uint64_t *>(dev_->at(off2));
+
+    // Before the cut a released range is gone from the image too.
+    v[0] = 7;
+    dev_->persistFence(v, 8, TimeKind::FlushData);
+    dev_->decommit(off2, 4096);
+    dev_->crash();
+    EXPECT_EQ(v[0], 0u) << "pre-crash-point decommit is durable";
+
+    v[0] = 7;
+    w_[0] = 1;
+    dev_->persistFence(v, 8, TimeKind::FlushData);
+    dev_->persistFence(w_, 8, TimeKind::FlushData);
+    dev_->armCrashAtFlush(1);
+    w_[1] = 2;
+    dev_->persistFence(&w_[1], 8, TimeKind::FlushData); // flush #1: crash
+    ASSERT_TRUE(dev_->crashTriggered());
+
+    // The workload keeps running and releases pages the frozen image
+    // still holds: a release after the cut never happened.
+    dev_->decommit(off2, 4096);
+    dev_->unmapRegion(off_, 4096);
+    dev_->crash();
+    EXPECT_EQ(v[0], 7u) << "post-crash-point decommit reached the image";
+    EXPECT_EQ(w_[0], 1u) << "post-crash-point unmap reached the image";
+    EXPECT_EQ(w_[1], 2u) << "crash-epoch flush lands (fraction 1.0)";
+}
+
 TEST_F(FaultDeviceFixture, PoisonReadsSentinelUntilRewritten)
 {
     dev_->poisonLine(off_);

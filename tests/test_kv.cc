@@ -597,6 +597,12 @@ smallSpec(YcsbWorkload w, unsigned threads)
     return spec;
 }
 
+// Every run op lands in exactly one ycsbRun counter, so the op total
+// includes not_found. Only workload D can miss: its read-latest pick
+// may land on an id another client has claimed but not yet committed.
+// Elsewhere pick() ranks only loaded ids and nothing erases, so any
+// miss is a lost record and not_found must be zero. For D, the store
+// count proves each miss raced an insert rather than lost one.
 TEST(Ycsb, EveryWorkloadRunsCleanly)
 {
     for (int wi = 0; wi < 6; ++wi) {
@@ -623,8 +629,12 @@ TEST(Ycsb, EveryWorkloadRunsCleanly)
         YcsbResult run = ycsbRun(*store, spec, epoch, inserted);
         EXPECT_EQ(run.errors, 0u);
         uint64_t total = run.reads + run.updates + run.inserts +
-                         run.scans + run.rmws;
+                         run.scans + run.rmws + run.not_found;
         EXPECT_EQ(total, spec.op_count);
+        if (w == YcsbWorkload::D)
+            EXPECT_EQ(store->count(), spec.record_count + run.inserts);
+        else
+            EXPECT_EQ(run.not_found, 0u);
         switch (w) {
         case YcsbWorkload::C:
             EXPECT_EQ(run.reads, spec.op_count);

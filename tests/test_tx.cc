@@ -780,5 +780,98 @@ TEST_P(TxCrashSweep, AllOrNothingAtEveryFencePoint)
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TxCrashSweep, ::testing::Range(0, 5));
 
+// ---------------------------------------------------------------------
+// Recycled WAL slot: attachThread clears the previous thread's ring.
+// A crash mid-clear must never leave a sealed transaction's op entry
+// as the ring's newest entry, or replay would undo a committed run.
+// ---------------------------------------------------------------------
+
+/** Crash at the nth flush of an attach that recycles a ring full of
+ *  sealed transactions; returns whether the crash triggered. */
+bool
+runRecycleCrashPoint(const FaultPolicy &policy, unsigned nth)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "recycle flush=" << nth << " staged_persist_fraction="
+                 << policy.staged_persist_fraction);
+    constexpr unsigned kTxs = 12; // 36 entries: the 32-entry ring wraps
+
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    dcfg.shadow = true;
+    PmDevice dev(dcfg);
+    dev.enableFaultInjection(policy);
+
+    uint64_t table_off = 0;
+    uint64_t blocks[kTxs] = {};
+    bool triggered = false;
+    {
+        auto alloc_h = NvAlloc::openOrDie(dev, sweepConfig());
+        NvAlloc &alloc = *alloc_h;
+        ThreadCtx *ctx = alloc.attachThread();
+        if (ctx == nullptr) {
+            ADD_FAILURE() << "attach failed during setup";
+            return false;
+        }
+        table_off = alloc.allocOffset(*ctx, kTxs * 8, alloc.rootWord(0));
+        if (table_off == 0) {
+            ADD_FAILURE() << "slot table allocation failed";
+            return false;
+        }
+        auto *slots = static_cast<uint64_t *>(alloc.at(table_off));
+        std::memset(slots, 0, kTxs * 8);
+        dev.persistFence(slots, kTxs * 8, TimeKind::FlushData);
+        for (unsigned i = 0; i < kTxs; ++i) {
+            EXPECT_EQ(alloc.txBegin(*ctx), NvStatus::Ok);
+            blocks[i] = alloc.txAlloc(*ctx, 64, &slots[i]);
+            EXPECT_NE(blocks[i], 0u);
+            EXPECT_EQ(alloc.txCommit(*ctx), NvStatus::Ok);
+        }
+        alloc.detachThread(ctx);
+
+        dev.armCrashAtFlush(nth);
+        ctx = alloc.attachThread(); // recycles the slot just freed
+        triggered = dev.crashTriggered();
+        if (ctx)
+            alloc.detachThread(ctx);
+        alloc.simulateCrash();
+    }
+
+    auto again_h = NvAlloc::openOrDie(dev, sweepConfig());
+    NvAlloc &again = *again_h;
+    const RecoveryReport &rec = again.lastRecovery();
+    auto *slots = static_cast<uint64_t *>(again.at(table_off));
+    for (unsigned i = 0; i < kTxs; ++i) {
+        EXPECT_EQ(slots[i], blocks[i])
+            << "committed tx " << i << " lost its publish; tx_rolled_back="
+            << rec.tx_rolled_back;
+        EXPECT_TRUE(blockIsLive(again, blocks[i]))
+            << "committed tx " << i << " lost its block";
+    }
+    AuditReport audit = HeapAuditor(again).audit();
+    EXPECT_EQ(audit.violations(), 0u) << audit.summary();
+    return triggered;
+}
+
+TEST(TxRingRecycle, SealedRunsSurviveCrashAtEveryClearFlush)
+{
+    // Every unfenced flush lands; then a torn cut that drops some of
+    // them and tears the rest at 8-byte words.
+    FaultPolicy torn;
+    torn.staged_persist_fraction = 0.6;
+    torn.word_granularity = true;
+    for (const FaultPolicy &policy : {FaultPolicy{}, torn}) {
+        constexpr unsigned kCap = 400; // far above an attach's flushes
+        unsigned nth = 1;
+        for (; nth <= kCap; ++nth) {
+            if (!runRecycleCrashPoint(policy, nth))
+                break;
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        ASSERT_LE(nth, kCap) << "sweep never ran out of flush points";
+    }
+}
+
 } // namespace
 } // namespace nvalloc
